@@ -1,18 +1,18 @@
 //! `trustmeter-bench` — the fleet perf harness.
 //!
 //! Streams a fixed audited batch through a [`FleetService`] worker pool
-//! three times — journaling **off**, write-ahead journaling to the legacy
-//! flush-per-append **file** sink, and to the **segmented** group-commit
-//! sink (rotation, fsync policy, inline checkpoint cadence) — and writes
+//! with journaling **off** and with write-ahead journaling to the
+//! **segmented** group-commit sink (rotation, fsync policy, inline
+//! checkpoint cadence; flush-only and under the fsync policy) — and writes
 //! a JSON report (`BENCH_fleet.json` by default) with wall clock,
 //! jobs/sec, the auditor's replay counters and the journal
 //! append/commit/rotation/fsync counters, so both the performance
 //! trajectory of the audited streaming path *and* the cost of each
-//! durability mode are tracked from run to run. A fourth **sealed** mode
+//! durability mode are tracked from run to run. A **sealed** mode
 //! runs the same segmented configuration with the evidence ledger on
 //! (hash-chained lines, signed block headers on rotation), so the
 //! chain+seal overhead vs plain group commit is tracked from run to run.
-//! With `--faults` a fifth **faulted** mode repeats the sealed
+//! With `--faults` a **faulted** mode repeats the sealed
 //! configuration with the journal sink wrapped in a
 //! [`FaultInjectingSink`] carrying an *empty* schedule and the ingest
 //! [`RetryPolicy`] armed: no fault ever fires, so the delta vs `sealed`
@@ -80,13 +80,10 @@ const SEED: u64 = 0xf1ee7;
 enum JournalMode {
     /// In-memory ledgers only.
     Off,
-    /// The PR-4 sink: one append-only file, flush per entry.
-    LegacyFile,
     /// Segmented group-commit sink with an inline checkpoint cadence.
-    /// `label` distinguishes the flush-only run (`segmented`, the same
-    /// process-death durability level as the legacy file sink) from the
-    /// fsync-policy run (`segmented-fsync`, power-loss durability — a
-    /// level the legacy sink never offered).
+    /// `label` distinguishes the flush-only run (`segmented`, process-death
+    /// durability) from the fsync-policy run (`segmented-fsync`,
+    /// power-loss durability).
     Segmented {
         label: &'static str,
         config: SegmentConfig,
@@ -107,20 +104,19 @@ impl JournalMode {
     fn label(&self) -> &'static str {
         match self {
             JournalMode::Off => "off",
-            JournalMode::LegacyFile => "file",
             JournalMode::Segmented { label, .. } => label,
             JournalMode::Faulted { .. } => "faulted",
         }
     }
 
     /// The segment configuration to reopen for the post-run recovery
-    /// check (`None` for the unsegmented modes).
+    /// check (`None` with journaling off).
     fn segment_config(&self) -> Option<SegmentConfig> {
         match self {
             JournalMode::Segmented { config, .. } | JournalMode::Faulted { config, .. } => {
                 Some(*config)
             }
-            _ => None,
+            JournalMode::Off => None,
         }
     }
 }
@@ -147,8 +143,7 @@ struct StageLatency {
 struct BenchReport {
     /// Harness identifier.
     bench: &'static str,
-    /// Durability mode: `off`, `file` (legacy flush-per-append),
-    /// `segmented` (group-commit pipeline), `sealed` (group commit plus
+    /// Durability mode: `off`, `segmented` (group-commit pipeline), `sealed` (group commit plus
     /// the hash-chained, block-sealed evidence ledger), `faulted` (the
     /// sealed configuration behind a no-op fault wrapper with the retry
     /// policy armed, `--faults` only) or `segmented-fsync` (group
@@ -201,10 +196,9 @@ struct BenchReport {
     /// journal was reopened (0 outside sealed mode).
     seals_verified: u64,
     /// Whether a post-run recovery from the journal reproduced the live
-    /// ledger and metering exposition bit for bit. `null` for the modes
-    /// that have nothing to recover from (`off`, and `file` — the legacy
-    /// sink has no recovery check wired); a boolean only where the check
-    /// actually ran, so "did not run" can never read as "failed".
+    /// ledger and metering exposition bit for bit. `null` for the mode
+    /// that has nothing to recover from (`off`); a boolean only where the
+    /// check actually ran, so "did not run" can never read as "failed".
     recovery_bit_identical: Option<bool>,
     /// End-to-end wall clock of the median tracing-**on** round, in
     /// seconds (`wall_secs` is the tracing-off median — both run in every
@@ -273,11 +267,6 @@ fn run(jobs: u64, workers: usize, mode: JournalMode, traced: bool) -> BenchRepor
     }
     let (fsync, segment_bytes, checkpoint_every, retry) = match mode {
         JournalMode::Off => (None, 0, 0, None),
-        JournalMode::LegacyFile => {
-            let journal = Journal::file(scratch.join("journal.jsonl")).expect("open bench journal");
-            service = service.with_journal(journal);
-            (None, 0, 0, None)
-        }
         JournalMode::Segmented {
             config,
             checkpoint_every,
@@ -901,9 +890,8 @@ fn main() {
         .with_fsync(fsync);
     let mut modes = vec![
         JournalMode::Off,
-        JournalMode::LegacyFile,
-        // Same durability level as the legacy file sink (flush to the OS,
-        // no fsync): the apples-to-apples group-commit comparison.
+        // Process-death durability only (flush to the OS, no fsync): the
+        // plain group-commit cost against journal-off.
         JournalMode::Segmented {
             label: "segmented",
             config: segment_config.with_fsync(FsyncPolicy::Never),

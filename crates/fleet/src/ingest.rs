@@ -126,7 +126,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::executor::{Fleet, FleetConfig, JobId, JobSpec, RunRecord};
 use crate::faults::{RetryPolicy, SupervisorPolicy, WorkerFaultKind, WorkerFaultSchedule};
-use crate::journal::{Journal, JournalError, JournalSink, PoisonNotice};
+use crate::journal::{EntryRef, Journal, JournalError, JournalSink, PoisonNotice};
 use crate::pool::{BufferPool, PoolStats};
 use crate::queue::FairQueue;
 use crate::tenant::TenantId;
@@ -736,9 +736,9 @@ impl Shared {
         // lose it — recovery reports it for resubmission. Rejected
         // submissions never reach this point and are never journaled.
         if let Some(journal) = &self.journal {
-            if let Err(e) =
-                self.commit_with_retry(job.id, job.tenant, || journal.append_accepted(&job))
-            {
+            if let Err(e) = self.commit_with_retry(job.id, job.tenant, || {
+                journal.append([EntryRef::Accepted(&job)])
+            }) {
                 self.enter_quarantine(e, Vec::new());
                 return Err(SubmitError::Quarantined);
             }
@@ -825,7 +825,7 @@ impl Shared {
             // the slice and everything after it were refused.
             if let Some(journal) = &self.journal {
                 if let Err(e) = self.commit_with_retry(slice[0].id, slice[0].tenant, || {
-                    journal.append_accepted_batch(slice)
+                    journal.append(slice.iter().map(EntryRef::Accepted))
                 }) {
                     self.enter_quarantine(e, Vec::new());
                     return Err(fail(seqs, SubmitError::Quarantined));
@@ -976,7 +976,7 @@ impl Shared {
             let state = self.lock();
             state.accepted.values().cloned().collect()
         };
-        journal.append_accepted_batch(&specs)?;
+        journal.append(specs.iter().map(EntryRef::Accepted))?;
         let mut state = self.lock();
         if state.workers_dead {
             // A dead worker pool is not a journal problem: the sink swap
@@ -1536,7 +1536,7 @@ impl Shared {
                             self.tracer.as_ref().map(|_| std::time::Instant::now());
                         if let Err(e) =
                             self.commit_with_retry(ready[0].job.id, ready[0].job.tenant, || {
-                                journal.append_runs(&ready)
+                                journal.append(ready.iter().map(EntryRef::Run))
                             })
                         {
                             // Retry policy exhausted: park the batch
@@ -1582,7 +1582,7 @@ impl Shared {
                     if let Some(journal) = &self.journal {
                         if let Err(e) =
                             self.commit_with_retry(notice.spec.id, notice.spec.tenant, || {
-                                journal.append_poisoned(&notice)
+                                journal.append([EntryRef::Poisoned(&notice)])
                             })
                         {
                             // Put the tombstone back; the cursor has not

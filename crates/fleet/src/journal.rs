@@ -39,11 +39,11 @@
 //!
 //! A truncated tail — the partial, newline-less last line a crash
 //! mid-append leaves behind — is detected at parse time and dropped
-//! ([`TailStatus`]), and [`FileSink::open`] repairs it before appending
-//! so a restarted process never merges new entries into the torn
-//! fragment. Any unparseable line that *is* newline-terminated was fully
-//! written and later damaged, so it is an error ([`JournalError::Corrupt`]),
-//! wherever it sits.
+//! ([`TailStatus`]), and [`SegmentedFileSink::open`] repairs it before
+//! appending so a restarted process never merges new entries into the
+//! torn fragment. Any unparseable line that *is* newline-terminated was
+//! fully written and later damaged, so it is an error
+//! ([`JournalError::Corrupt`]), wherever it sits.
 //!
 //! ## The evidence ledger
 //!
@@ -65,14 +65,17 @@
 //! ## The group-commit write path
 //!
 //! The write-ahead point must be cheap enough to run always-on, so the
-//! journal batches. Producers hand the journal *groups* of entries —
-//! the ingest pipeline's whole ready prefix ([`Journal::append_runs`]),
-//! a posting's Run/Invoice/Verdict triple ([`Journal::append_posting`]),
-//! a pump's receipt batch ([`Journal::append_receipts`]) — which are
-//! serialized back to back into one reused buffer (via the vendored
-//! `serde_json`'s buffer-reusing [`serde_json::Serializer`]) and
-//! committed with a single [`JournalSink::append_lines`] call: one
-//! write, one flush/fsync decision, zero per-entry allocation.
+//! journal batches, and it has exactly one way to do so: [`Journal::append`]
+//! takes a group of borrowed entries ([`EntryRef`]) — the ingest
+//! pipeline's whole ready prefix of `Run`s, a posting's
+//! Run/Invoice/Verdict triple, a pump's receipt batch, or a single
+//! `Accepted` line as a group of one — frames them back to back into one
+//! reused buffer (via the vendored `serde_json`'s buffer-reusing
+//! [`serde_json::Serializer`]) and commits them with a single
+//! [`JournalSink::append_lines`] call: one write, one flush/fsync
+//! decision, zero per-entry allocation. Checkpoints take the only other
+//! path, [`Journal::append_checkpoint`], which brackets the commit with
+//! the sink's checkpoint hooks.
 //!
 //! [`SegmentedFileSink`] is the production file sink: `BufWriter`-backed
 //! segment files rotated at a size threshold ([`SegmentConfig`]), an
@@ -80,8 +83,6 @@
 //! of segments older than the latest [`JournalEntry::Checkpoint`] —
 //! written automatically by a [`CheckpointCadence`]-configured service —
 //! so the journal's disk footprint and recovery cost are both bounded.
-//! The PR-4 [`FileSink`] (one flush per entry, one ever-growing file) is
-//! retained as the legacy comparison point.
 //!
 //! ```
 //! use trustmeter_fleet::{FleetConfig, FleetService, JobSpec, Journal, TenantId};
@@ -187,6 +188,25 @@ impl JournalEntry {
             JournalEntry::Poisoned(_) => "poisoned",
         }
     }
+}
+
+/// A borrowed journal entry: one line of a [`Journal::append`] group
+/// commit, serialized straight from the borrowed value with the same bytes
+/// as the owned [`JournalEntry`]. There is no `Checkpoint` variant: a
+/// checkpoint is written only through [`Journal::append_checkpoint`],
+/// whose sink bracket rotates and retires segments around it.
+#[derive(Debug, Clone, Copy)]
+pub enum EntryRef<'a> {
+    /// An accepted job (see [`JournalEntry::Accepted`]).
+    Accepted(&'a JobSpec),
+    /// A completed run (see [`JournalEntry::Run`]).
+    Run(&'a RunRecord),
+    /// A billing receipt (see [`JournalEntry::Invoice`]).
+    Invoice(&'a InvoicePosting),
+    /// An audit receipt (see [`JournalEntry::Verdict`]).
+    Verdict(&'a AuditVerdict),
+    /// A poison-job verdict (see [`JournalEntry::Poisoned`]).
+    Poisoned(&'a PoisonNotice),
 }
 
 /// The tenant-visible verdict for a poison job (see
@@ -327,9 +347,10 @@ pub struct JournalStats {
     pub appends: u64,
     /// Bytes appended (serialized lines including the newline).
     pub bytes: u64,
-    /// Batched commits: groups of entries serialized into one buffer and
-    /// handed to the sink as a single [`JournalSink::append_lines`] call.
-    /// `appends / group_commits` is the realized batch size.
+    /// Sink commits: groups of entries serialized into one buffer and
+    /// handed to the sink as a single [`JournalSink::append_lines`] call
+    /// (a single entry is a group of one). `appends / group_commits` is
+    /// the realized batch size.
     pub group_commits: u64,
     /// Segment rotations the sink performed (see [`SegmentedFileSink`]).
     pub rotations: u64,
@@ -363,8 +384,9 @@ pub struct SinkStats {
 /// what an OS crash or power loss can take with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum FsyncPolicy {
-    /// Never `fsync` — the legacy [`FileSink`] durability level. Power
-    /// loss can lose anything not yet written back by the OS.
+    /// Never `fsync`: every commit is flushed to the OS, which survives a
+    /// process crash. Power loss can lose anything not yet written back
+    /// by the OS.
     #[default]
     Never,
     /// `fsync` on every commit: every released record survives power
@@ -476,32 +498,22 @@ impl CheckpointCadence {
     }
 }
 
-/// Where journal lines go. Implementations must make an appended line
+/// Where journal lines go. Implementations must make appended lines
 /// durable before returning: the pipeline releases a record to consumers
 /// only after its `Run` entry has been accepted.
 pub trait JournalSink: Send {
-    /// Appends one serialized entry (`line` has no trailing newline; the
-    /// sink must write it as its own line).
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError>;
-
-    /// Group commit: appends every line (each as its own newline-
-    /// terminated line) and makes the whole batch durable together —
-    /// ideally one buffered write and one flush/fsync decision. The
-    /// default loops [`JournalSink::append_line`], which keeps legacy
-    /// sinks correct (and keeps [`FileSink`] honestly flush-per-append
-    /// for the benchmark comparison).
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
-        for line in lines {
-            self.append_line(line)?;
-        }
-        Ok(())
-    }
+    /// Group commit, the sink's one write entry point: appends every line
+    /// (none has a trailing newline; each is written as its own newline-
+    /// terminated line) and makes the whole group durable together —
+    /// ideally one buffered write and one flush/fsync decision. A single
+    /// line is a group of one.
+    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError>;
 
     /// Writes `fragment` **without a terminating newline** — the exact
     /// artifact a crash mid-write leaves behind. This exists for the
     /// fault-injection harness ([`crate::faults::FaultInjectingSink`]
     /// manufactures torn tails through it) and must never be called on
-    /// the healthy write path: a later [`JournalSink::append_line`] would
+    /// the healthy write path: a later [`JournalSink::append_lines`] would
     /// merge into the fragment. Default: refuses with
     /// [`JournalError::Io`], which keeps sinks that cannot represent a
     /// torn tail honest.
@@ -599,9 +611,11 @@ impl MemorySink {
 }
 
 impl JournalSink for MemorySink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.buffer.push_str(line);
-        self.buffer.push('\n');
+    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+        for line in lines {
+            self.buffer.push_str(line);
+            self.buffer.push('\n');
+        }
         Ok(())
     }
 
@@ -613,21 +627,6 @@ impl JournalSink for MemorySink {
     fn contents(&self) -> Result<String, JournalError> {
         Ok(self.buffer.clone())
     }
-}
-
-/// A file-backed sink: one JSON line per entry, flushed per append so the
-/// write-ahead guarantee holds across a process kill. (Flush pushes the
-/// line to the OS; an `fsync` per append — surviving power loss, not just
-/// process death — is a deliberate non-goal of the simulation-scale
-/// journal and is noted in `docs/ARCHITECTURE.md`.)
-#[derive(Debug)]
-pub struct FileSink {
-    path: PathBuf,
-    file: File,
-    /// Reused line buffer: the line and its newline still land in one
-    /// `write_all` (the torn-tail invariant depends on that), but the
-    /// buffer is allocated once, not per append.
-    buf: Vec<u8>,
 }
 
 /// Opens (creating if absent) a journal file in append mode and repairs a
@@ -676,58 +675,6 @@ fn repair_torn_tail(file: &File) -> Result<(), JournalError> {
     };
     file.set_len(keep)?;
     Ok(())
-}
-
-impl FileSink {
-    /// Opens (creating if absent) the journal file at `path` in append
-    /// mode, so reopening after a crash continues the same journal.
-    ///
-    /// A crash mid-append leaves a partial final line with no newline;
-    /// appending after it would merge the next entry into the torn
-    /// fragment and corrupt the journal mid-file. Opening therefore
-    /// *repairs* the file first: a non-newline-terminated tail is
-    /// truncated away (the same tail [`parse_journal`] would drop).
-    pub fn open(path: impl AsRef<Path>) -> Result<FileSink, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = open_repaired(&path)?;
-        Ok(FileSink {
-            path,
-            file,
-            buf: Vec::new(),
-        })
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl JournalSink for FileSink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.buf.clear();
-        self.buf.extend_from_slice(line.as_bytes());
-        self.buf.push(b'\n');
-        self.file.write_all(&self.buf)?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    // `append_lines` deliberately stays the flush-per-append default:
-    // `FileSink` is the legacy comparison point for the benchmark, and
-    // batching belongs to `SegmentedFileSink`.
-
-    fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
-        self.file.write_all(fragment.as_bytes())?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    fn contents(&self) -> Result<String, JournalError> {
-        let mut text = String::new();
-        File::open(&self.path)?.read_to_string(&mut text)?;
-        Ok(text)
-    }
 }
 
 /// The production file sink: `BufWriter`-backed segment files
@@ -794,18 +741,26 @@ impl SegmentedFileSink {
 
     /// Opens (creating if absent) a segment directory at `dir`. Existing
     /// segments are kept — reopening after a crash continues the same
-    /// journal — and the *last* segment's torn tail, if any, is repaired
-    /// exactly like [`FileSink::open`] does. A torn tail in an earlier
-    /// segment is never repaired: sealed segments cannot legally be torn,
-    /// so that damage must surface as corruption, not be papered over.
+    /// journal — and the *last* segment's torn tail, if any, is repaired:
+    /// a crash mid-append leaves a partial final line with no newline,
+    /// and appending after it would merge the next entry into the torn
+    /// fragment, so the fragment is truncated away (the same tail
+    /// [`parse_journal`] would drop). A torn tail in an earlier segment
+    /// is never repaired: sealed segments cannot legally be torn, so that
+    /// damage must surface as corruption, not be papered over.
+    ///
+    /// # Errors
+    /// [`JournalError::Io`] if `config.segment_bytes` is zero, or if the
+    /// directory or its segments cannot be opened.
     pub fn open(
         dir: impl AsRef<Path>,
         config: SegmentConfig,
     ) -> Result<SegmentedFileSink, JournalError> {
-        assert!(
-            config.segment_bytes > 0,
-            "segments need a positive byte budget"
-        );
+        if config.segment_bytes == 0 {
+            return Err(JournalError::Io(
+                "invalid segment config: segment_bytes must be positive".to_string(),
+            ));
+        }
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let mut live: Vec<u64> = std::fs::read_dir(&dir)?
@@ -973,10 +928,41 @@ impl SegmentedFileSink {
         Ok(())
     }
 
+    /// Seals the current segment and starts the next one.
+    fn rotate(&mut self) -> Result<(), JournalError> {
+        self.writer.flush()?;
+        // Seal the finished segment to the platter unless the policy
+        // never syncs: a sealed segment is the one place a torn tail is
+        // *illegal*, so don't leave it hostage to the page cache.
+        if !matches!(self.config.fsync, FsyncPolicy::Never) && self.unsynced_bytes > 0 {
+            self.fsync()?;
+        }
+        // The finished segment is complete and flushed: sign its block
+        // header before anything can be appended elsewhere.
+        self.seal_current()?;
+        self.current_index += 1;
+        let file = open_repaired(&self.dir.join(Self::segment_name(self.current_index)))?;
+        self.writer = BufWriter::new(file);
+        self.current_len = 0;
+        self.live.push(self.current_index);
+        self.stats.rotations += 1;
+        // Make the new segment's directory entry durable too, or records
+        // synced into it could vanish with the file on power loss.
+        if !matches!(self.config.fsync, FsyncPolicy::Never) {
+            self.sync_dir()?;
+        }
+        Ok(())
+    }
+}
+
+impl JournalSink for SegmentedFileSink {
     /// Writes `lines` into the current segment, flushes to the OS (the
     /// commit point), then applies the fsync policy and rotates if the
     /// segment is over budget.
-    fn commit(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+        if lines.is_empty() {
+            return Ok(());
+        }
         let mut bytes = 0u64;
         for line in lines {
             self.writer.write_all(line.as_bytes())?;
@@ -1017,45 +1003,6 @@ impl SegmentedFileSink {
             self.rotate()?;
         }
         Ok(())
-    }
-
-    /// Seals the current segment and starts the next one.
-    fn rotate(&mut self) -> Result<(), JournalError> {
-        self.writer.flush()?;
-        // Seal the finished segment to the platter unless the policy
-        // never syncs: a sealed segment is the one place a torn tail is
-        // *illegal*, so don't leave it hostage to the page cache.
-        if !matches!(self.config.fsync, FsyncPolicy::Never) && self.unsynced_bytes > 0 {
-            self.fsync()?;
-        }
-        // The finished segment is complete and flushed: sign its block
-        // header before anything can be appended elsewhere.
-        self.seal_current()?;
-        self.current_index += 1;
-        let file = open_repaired(&self.dir.join(Self::segment_name(self.current_index)))?;
-        self.writer = BufWriter::new(file);
-        self.current_len = 0;
-        self.live.push(self.current_index);
-        self.stats.rotations += 1;
-        // Make the new segment's directory entry durable too, or records
-        // synced into it could vanish with the file on power loss.
-        if !matches!(self.config.fsync, FsyncPolicy::Never) {
-            self.sync_dir()?;
-        }
-        Ok(())
-    }
-}
-
-impl JournalSink for SegmentedFileSink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.commit(&[line])
-    }
-
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
-        if lines.is_empty() {
-            return Ok(());
-        }
-        self.commit(lines)
     }
 
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
@@ -1277,50 +1224,64 @@ struct JournalInner {
     /// committed so far (recomputed from the sink's existing contents on
     /// open, advanced only after a commit succeeds).
     link: ChainDigest,
-    /// Reused serialization buffer: every append path serializes into
-    /// this and hands the sink string slices, so the steady state
-    /// allocates nothing per entry.
+    /// The chain head over `link` plus the lines staged in `scratch`.
+    staged: ChainDigest,
+    /// Reused serialization buffer: every commit serializes into this and
+    /// hands the sink string slices, so the steady state allocates
+    /// nothing per entry.
     scratch: String,
     /// End offset of each serialized line in `scratch` (reused).
     line_ends: Vec<usize>,
 }
 
-/// Serializes `value` framed as one chained journal line,
-/// `{"prev":"<hex>","entry":{"<variant>":<value>}}` — byte-identical to
-/// serializing the corresponding [`JournalEntry`] inside the same
-/// envelope, without building one.
-fn frame_variant<T: Serialize>(
-    out: &mut String,
-    prev: &ChainDigest,
-    variant: &str,
-    value: &T,
-) -> Result<(), JournalError> {
-    out.push_str("{\"prev\":\"");
-    out.push_str(&evidence::encode_hex(prev));
-    out.push_str("\",\"entry\":{\"");
-    out.push_str(variant);
-    out.push_str("\":");
-    serde_json::Serializer::new(out)
-        .serialize(value)
-        .map_err(|e| JournalError::Io(format!("serialize journal entry: {e}")))?;
-    out.push_str("}}");
-    Ok(())
-}
+impl JournalInner {
+    /// Starts a new group: empties the buffer and chains from the
+    /// committed head.
+    fn begin(&mut self) {
+        self.scratch.clear();
+        self.line_ends.clear();
+        self.staged = self.link;
+    }
 
-/// Serializes a whole [`JournalEntry`] inside the chained envelope.
-fn frame_entry(
-    out: &mut String,
-    prev: &ChainDigest,
-    entry: &JournalEntry,
-) -> Result<(), JournalError> {
-    out.push_str("{\"prev\":\"");
-    out.push_str(&evidence::encode_hex(prev));
-    out.push_str("\",\"entry\":");
-    serde_json::Serializer::new(out)
-        .serialize(entry)
-        .map_err(|e| JournalError::Io(format!("serialize journal entry: {e}")))?;
-    out.push('}');
-    Ok(())
+    /// Frames `value` as the group's next line,
+    /// `{"prev":"<hex>","entry":{"<variant>":<value>}}`, chained after the
+    /// previously staged line — byte-identical to serializing the owned
+    /// [`JournalEntry`] inside the same envelope, without building one.
+    fn stage<T: Serialize>(&mut self, variant: &str, value: &T) -> Result<(), JournalError> {
+        let start = self.scratch.len();
+        self.scratch.push_str("{\"prev\":\"");
+        self.scratch.push_str(&evidence::encode_hex(&self.staged));
+        self.scratch.push_str("\",\"entry\":{\"");
+        self.scratch.push_str(variant);
+        self.scratch.push_str("\":");
+        serde_json::Serializer::new(&mut self.scratch)
+            .serialize(value)
+            .map_err(|e| JournalError::Io(format!("serialize journal entry: {e}")))?;
+        self.scratch.push_str("}}");
+        self.staged = evidence::chain_link(&self.staged, &self.scratch.as_bytes()[start..]);
+        self.line_ends.push(self.scratch.len());
+        Ok(())
+    }
+
+    /// Commits the staged group as ONE sink call, then advances the chain
+    /// head and the counters. An empty group commits nothing.
+    fn commit(&mut self) -> Result<(), JournalError> {
+        if self.line_ends.is_empty() {
+            return Ok(());
+        }
+        let mut lines = Vec::with_capacity(self.line_ends.len());
+        let mut start = 0usize;
+        for &end in &self.line_ends {
+            lines.push(&self.scratch[start..end]);
+            start = end;
+        }
+        self.sink.append_lines(&lines)?;
+        self.link = self.staged;
+        self.stats.appends += lines.len() as u64;
+        self.stats.bytes += self.scratch.len() as u64 + lines.len() as u64;
+        self.stats.group_commits += 1;
+        Ok(())
+    }
 }
 
 /// Recomputes the chain head over existing journal text. The fold is
@@ -1355,22 +1316,6 @@ fn chain_head_of(text: &str) -> ChainDigest {
         link = evidence::chain_link(&link, line.as_bytes());
     }
     link
-}
-
-/// Commits the lines staged in `scratch`/`line_ends` as ONE sink-level
-/// group commit and rolls the handle counters forward.
-fn commit_scratch(inner: &mut JournalInner) -> Result<(), JournalError> {
-    let mut lines = Vec::with_capacity(inner.line_ends.len());
-    let mut start = 0usize;
-    for &end in &inner.line_ends {
-        lines.push(&inner.scratch[start..end]);
-        start = end;
-    }
-    inner.sink.append_lines(&lines)?;
-    inner.stats.appends += lines.len() as u64;
-    inner.stats.bytes += inner.scratch.len() as u64 + lines.len() as u64;
-    inner.stats.group_commits += 1;
-    Ok(())
 }
 
 /// A cloneable handle to one append-only journal. The ingest pipeline and
@@ -1408,6 +1353,7 @@ impl Journal {
                 sink,
                 stats: JournalStats::default(),
                 link,
+                staged: link,
                 scratch: String::new(),
                 line_ends: Vec::new(),
             })),
@@ -1418,17 +1364,6 @@ impl Journal {
     pub fn in_memory() -> Journal {
         Journal::with_sink(Box::new(MemorySink::new()))
             .expect("an empty in-memory journal cannot fail to open")
-    }
-
-    /// A file-backed journal at `path` (created if absent, appended to if
-    /// present — reopening after a crash continues the same journal).
-    /// This is the *legacy* flush-per-append sink; production services
-    /// should prefer [`Journal::segmented`].
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if the file cannot be opened.
-    pub fn file(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
-        Journal::with_sink(Box::new(FileSink::open(path)?))
     }
 
     /// A journal over a [`SegmentedFileSink`] at directory `dir` (created
@@ -1449,228 +1384,48 @@ impl Journal {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Serializes and appends one entry as a JSON line, durable before
-    /// return.
+    /// Group commit, the journal's one way to append entries: frames
+    /// `entries` back to back into the reused buffer, each chained after
+    /// the one before, and hands them to the sink as one
+    /// [`JournalSink::append_lines`] call — durable together before
+    /// return. A single entry is a group of one; an empty group writes
+    /// nothing. Checkpoints go through [`Journal::append_checkpoint`].
+    ///
+    /// ```
+    /// use trustmeter_fleet::{EntryRef, Fleet, FleetConfig, JobSpec, Journal, TenantId};
+    /// use trustmeter_workloads::Workload;
+    ///
+    /// let spec = JobSpec::clean(0, TenantId(1), Workload::LoopO, 0.001);
+    /// let record = Fleet::new(FleetConfig::new(1, 7)).run_one(&spec);
+    /// let journal = Journal::in_memory();
+    /// journal.append([EntryRef::Accepted(&spec)]).unwrap();
+    /// journal.append([EntryRef::Run(&record)]).unwrap();
+    ///
+    /// let (entries, _tail) = journal.entries().unwrap();
+    /// let labels: Vec<&str> = entries.iter().map(|e| e.label()).collect();
+    /// assert_eq!(labels, ["accepted", "run"]);
+    /// assert_eq!(journal.stats().group_commits, 2);
+    /// ```
     ///
     /// # Errors
-    /// [`JournalError::Io`] if the sink rejects the line.
-    pub fn append(&self, entry: &JournalEntry) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_entry(&mut inner.scratch, &prev, entry)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Run`] serialized straight from a borrowed
-    /// record — byte-identical to `append(&JournalEntry::run(...))`
-    /// without cloning the (large) record into the entry first.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if the sink rejects the line.
-    pub fn append_run(&self, record: &RunRecord) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_variant(&mut inner.scratch, &prev, "Run", record)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Group commit of a whole batch of entries: serialized back to back
-    /// into the journal's reused buffer and handed to the sink as one
-    /// [`JournalSink::append_lines`] call.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_batch(&self, entries: &[JournalEntry]) -> Result<(), JournalError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
+    /// [`JournalError::Io`] if serialization or the sink fails; the chain
+    /// head and the counters then stay where they were.
+    pub fn append<'a>(
+        &self,
+        entries: impl IntoIterator<Item = EntryRef<'a>>,
+    ) -> Result<(), JournalError> {
+        let mut inner = self.lock();
+        inner.begin();
         for entry in entries {
-            let start = inner.scratch.len();
-            frame_entry(&mut inner.scratch, &link, entry)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
+            match entry {
+                EntryRef::Accepted(spec) => inner.stage("Accepted", spec),
+                EntryRef::Run(record) => inner.stage("Run", record),
+                EntryRef::Invoice(posting) => inner.stage("Invoice", posting),
+                EntryRef::Verdict(verdict) => inner.stage("Verdict", verdict),
+                EntryRef::Poisoned(notice) => inner.stage("Poisoned", notice),
+            }?;
         }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Group commit of [`JournalEntry::Run`] entries serialized straight
-    /// from borrowed records — the ingest pipeline's release path commits
-    /// its whole ready prefix through this, one sink write for the batch
-    /// and no per-record allocation.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_runs(&self, records: &[RunRecord]) -> Result<(), JournalError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for record in records {
-            let start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Run", record)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-        }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Accepted`] serialized straight from a
-    /// borrowed spec — the ingest pipeline's submission-side write-ahead
-    /// point: the spec is durable before the job becomes visible to any
-    /// worker.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_accepted(&self, spec: &JobSpec) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_variant(&mut inner.scratch, &prev, "Accepted", spec)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Group commit of [`JournalEntry::Accepted`] entries serialized
-    /// straight from borrowed specs — failover re-journals the pending
-    /// accepted set into the fresh sink through this, one sink write for
-    /// the batch.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_accepted_batch(&self, specs: &[JobSpec]) -> Result<(), JournalError> {
-        if specs.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for spec in specs {
-            let start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Accepted", spec)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-        }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Poisoned`] serialized straight from a
-    /// borrowed notice — the release path journals a poison job's
-    /// verdict at exactly the chain position its `Run` entry would have
-    /// taken, so the release order stays reconstructible from the
-    /// journal alone.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_poisoned(&self, notice: &PoisonNotice) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_variant(&mut inner.scratch, &prev, "Poisoned", notice)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Group commit of one posting's Run/Invoice/Verdict triple — the
-    /// batch path journals each posted record through this, one sink
-    /// write for the three lines.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_posting(
-        &self,
-        record: &RunRecord,
-        invoice: &InvoicePosting,
-        verdict: &AuditVerdict,
-    ) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        let mut start = 0usize;
-        frame_variant(&mut inner.scratch, &link, "Run", record)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        start = inner.scratch.len();
-        frame_variant(&mut inner.scratch, &link, "Invoice", invoice)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        start = inner.scratch.len();
-        frame_variant(&mut inner.scratch, &link, "Verdict", verdict)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Group commit of Invoice/Verdict receipt pairs — a stream pump
-    /// journals the receipts of everything it posted through this.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_receipts(
-        &self,
-        receipts: &[(InvoicePosting, AuditVerdict)],
-    ) -> Result<(), JournalError> {
-        if receipts.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for (invoice, verdict) in receipts {
-            let mut start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Invoice", invoice)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-            start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Verdict", verdict)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-        }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
+        inner.commit()
     }
 
     /// Appends a [`JournalEntry::Checkpoint`], bracketed by the sink's
@@ -1683,10 +1438,10 @@ impl Journal {
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.sink.begin_checkpoint()?;
-        inner.scratch.clear();
-        let prev = inner.link;
-        let appended = frame_variant(&mut inner.scratch, &prev, "Checkpoint", checkpoint)
-            .and_then(|()| inner.sink.append_line(&inner.scratch));
+        inner.begin();
+        let appended = inner
+            .stage("Checkpoint", checkpoint)
+            .and_then(|()| inner.commit());
         if let Err(e) = appended {
             // Leave the bracket cleanly: nothing was superseded, and the
             // sink must not stay in checkpoint mode (that would suppress
@@ -1694,11 +1449,7 @@ impl Journal {
             inner.sink.abort_checkpoint();
             return Err(e);
         }
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        inner.sink.finish_checkpoint()?;
-        Ok(())
+        inner.sink.finish_checkpoint()
     }
 
     /// Fails the journal over to a **fresh** sink (e.g. a new segment
@@ -1722,40 +1473,6 @@ impl Journal {
         inner.sink = sink;
         let link = inner.link;
         inner.sink.anchor_chain(link);
-    }
-
-    // The journal deliberately keeps exactly ONE `*_or_die` wrapper —
-    // for the batch service's posting path, where the record has already
-    // been posted to the in-memory ledger and the batch API offers no
-    // error channel: a metering service whose billed state can no longer
-    // be made durable must not keep billing. Every other write path is
-    // fallible: the *streaming* release path — where the write-ahead
-    // contract lets us hold the records back — uses `append_runs` under a
-    // retry policy and degrades to quarantine (see `crate::ingest`), and
-    // receipt/checkpoint commits degrade by counting a failure (receipts
-    // are re-derived on recovery; a skipped checkpoint is retried at the
-    // next safe point).
-
-    /// [`Journal::append_posting`] with failure fatal.
-    ///
-    /// Used by the batch posting path ([`crate::FleetService::process`]),
-    /// where the posting has already mutated the in-memory ledger before
-    /// the journal write and the batch API has no error channel to
-    /// withhold it through — persisting a half-posted state would be
-    /// worse than stopping. The streaming path never calls this; it
-    /// retries and quarantines instead.
-    ///
-    /// # Panics
-    /// Panics if the sink rejects the batch.
-    pub fn append_posting_or_die(
-        &self,
-        record: &RunRecord,
-        invoice: &InvoicePosting,
-        verdict: &AuditVerdict,
-    ) {
-        if let Err(e) = self.append_posting(record, invoice, verdict) {
-            panic!("journal group commit failed (posting triple): {e}");
-        }
     }
 
     /// Append/byte/commit counters for this handle, merged with the
@@ -2261,11 +1978,11 @@ mod tests {
     #[test]
     fn entries_round_trip_through_json_lines() {
         let journal = Journal::in_memory();
-        let run = JournalEntry::run(record());
-        journal.append(&run).unwrap();
+        let record = record();
+        journal.append([EntryRef::Run(&record)]).unwrap();
         let (entries, tail) = journal.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean);
-        assert_eq!(entries, vec![run]);
+        assert_eq!(entries, vec![JournalEntry::run(record)]);
         let stats = journal.stats();
         assert_eq!(stats.appends, 1);
         assert!(stats.bytes > 0);
@@ -2274,7 +1991,7 @@ mod tests {
     #[test]
     fn truncated_tail_is_dropped() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         let text = journal.lock().sink.contents().unwrap();
         // A crash mid-append leaves a partial final line.
         let torn = format!("{text}{}", &text[..text.len() / 2]);
@@ -2286,8 +2003,8 @@ mod tests {
     #[test]
     fn unterminated_final_line_is_dropped_even_if_parseable() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         let text = journal.lock().sink.contents().unwrap();
         // Strip the final newline: the last line parses but is torn.
         let torn = &text[..text.len() - 1];
@@ -2302,7 +2019,7 @@ mod tests {
         // write can never be newline-terminated: a terminated line that
         // fails to parse was damaged after the fact.
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         let text = journal.lock().sink.contents().unwrap();
         let damaged = format!("{text}{{\"Run\":garbage}}\n");
         match parse_journal(&damaged) {
@@ -2312,52 +2029,9 @@ mod tests {
     }
 
     #[test]
-    fn append_run_is_byte_identical_to_the_enum_path() {
-        let record = record();
-        let via_borrow = Journal::in_memory();
-        via_borrow.append_run(&record).unwrap();
-        let via_enum = Journal::in_memory();
-        via_enum.append(&JournalEntry::run(record.clone())).unwrap();
-        assert_eq!(
-            via_borrow.lock().sink.contents().unwrap(),
-            via_enum.lock().sink.contents().unwrap()
-        );
-        assert_eq!(via_borrow.stats(), via_enum.stats());
-        let (entries, _) = via_borrow.entries().unwrap();
-        assert_eq!(entries, vec![JournalEntry::run(record)]);
-    }
-
-    #[test]
-    fn reopening_a_torn_file_repairs_the_tail_before_appending() {
-        let path = std::env::temp_dir().join(format!(
-            "trustmeter-journal-torn-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let journal = Journal::file(&path).unwrap();
-            journal.append(&JournalEntry::run(record())).unwrap();
-        }
-        // A crash mid-append leaves an unterminated fragment.
-        {
-            use std::io::Write as _;
-            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-            file.write_all(br#"{"Run":{"job":{"id":7"#).unwrap();
-        }
-        // Reopening truncates the fragment, so the next append starts a
-        // fresh line instead of merging into the torn one.
-        let reopened = Journal::file(&path).unwrap();
-        reopened.append(&JournalEntry::run(record())).unwrap();
-        let (entries, tail) = reopened.entries().unwrap();
-        assert_eq!(tail, TailStatus::Clean, "repair removed the torn tail");
-        assert_eq!(entries.len(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn corruption_before_the_tail_is_an_error() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         let text = journal.lock().sink.contents().unwrap();
         let corrupted = format!("not json\n{text}");
         match parse_journal(&corrupted) {
@@ -2369,34 +2043,12 @@ mod tests {
     #[test]
     fn blank_lines_are_skipped() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         let text = journal.lock().sink.contents().unwrap();
         let padded = format!("\n{text}\n\n");
         let (entries, tail) = parse_journal(&padded).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(tail, TailStatus::Clean);
-    }
-
-    #[test]
-    fn file_sink_persists_across_reopen() {
-        let path = std::env::temp_dir().join(format!(
-            "trustmeter-journal-test-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let journal = Journal::file(&path).unwrap();
-            journal.append(&JournalEntry::run(record())).unwrap();
-        }
-        // A fresh handle (a restarted process) reads the same entries and
-        // appends after them.
-        let reopened = Journal::file(&path).unwrap();
-        assert_eq!(reopened.stats().appends, 0, "stats are per handle");
-        reopened.append(&JournalEntry::run(record())).unwrap();
-        let (entries, tail) = reopened.entries().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(tail, TailStatus::Clean);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2419,34 +2071,84 @@ mod tests {
         Journal::segmented(dir, SegmentConfig::default().with_segment_bytes(512)).unwrap()
     }
 
+    /// Borrows an owned entry for [`Journal::append`].
+    fn borrowed(entry: &JournalEntry) -> EntryRef<'_> {
+        match entry {
+            JournalEntry::Accepted(spec) => EntryRef::Accepted(spec),
+            JournalEntry::Run(record) => EntryRef::Run(record),
+            JournalEntry::Invoice(posting) => EntryRef::Invoice(posting),
+            JournalEntry::Verdict(verdict) => EntryRef::Verdict(verdict),
+            JournalEntry::Poisoned(notice) => EntryRef::Poisoned(notice),
+            JournalEntry::Checkpoint(_) => panic!("checkpoints have their own path"),
+        }
+    }
+
     #[test]
     fn batched_appends_are_byte_identical_to_per_entry_appends() {
-        let rec = record();
-        let entries = vec![
-            JournalEntry::run(rec.clone()),
-            JournalEntry::run(rec.clone()),
-        ];
+        // One entry of every kind `append` takes: a posting's triple from a
+        // journaled batch, plus an Accepted spec and a poison verdict.
+        let spec = JobSpec::clean(0, TenantId(1), Workload::LoopO, 0.001);
+        let posted = Journal::in_memory();
+        FleetService::new(FleetConfig::new(1, 7))
+            .with_journal(posted.clone())
+            .process(std::slice::from_ref(&spec));
+        let mut entries = vec![JournalEntry::accepted(spec.clone())];
+        entries.extend(posted.entries().unwrap().0);
+        entries.push(JournalEntry::poisoned(PoisonNotice { spec, attempts: 2 }));
+        assert_eq!(entries.len(), 5);
+
         let one_by_one = Journal::in_memory();
         for entry in &entries {
-            one_by_one.append(entry).unwrap();
+            one_by_one.append([borrowed(entry)]).unwrap();
         }
         let batched = Journal::in_memory();
-        batched.append_batch(&entries).unwrap();
+        batched.append(entries.iter().map(borrowed)).unwrap();
         assert_eq!(
             batched.lock().sink.contents().unwrap(),
             one_by_one.lock().sink.contents().unwrap()
         );
-        let runs = Journal::in_memory();
-        runs.append_runs(&[rec.clone(), rec.clone()]).unwrap();
-        assert_eq!(
-            runs.lock().sink.contents().unwrap(),
-            one_by_one.lock().sink.contents().unwrap()
-        );
-        // Counters: same appends/bytes, but one commit for the batch.
-        assert_eq!(runs.stats().appends, 2);
-        assert_eq!(runs.stats().bytes, one_by_one.stats().bytes);
-        assert_eq!(runs.stats().group_commits, 1);
-        assert_eq!(one_by_one.stats().group_commits, 0);
+        // Both equal the serde rendering of the owned entries, each inside
+        // its chained envelope.
+        let mut expected = String::new();
+        let mut link = evidence::genesis();
+        for entry in &entries {
+            let line = format!(
+                "{{\"prev\":\"{}\",\"entry\":{}}}",
+                evidence::encode_hex(&link),
+                serde_json::to_string(entry).unwrap()
+            );
+            link = evidence::chain_link(&link, line.as_bytes());
+            expected.push_str(&line);
+            expected.push('\n');
+        }
+        assert_eq!(batched.lock().sink.contents().unwrap(), expected);
+        assert_eq!(batched.entries().unwrap().0, entries);
+        // Counters: same appends/bytes; every sink commit is a group, so
+        // the batch is one commit and the one-by-one path five.
+        assert_eq!(batched.stats().appends, 5);
+        assert_eq!(batched.stats().bytes, one_by_one.stats().bytes);
+        assert_eq!(batched.stats().group_commits, 1);
+        assert_eq!(one_by_one.stats().group_commits, 5);
+        // An empty group writes nothing and commits nothing.
+        batched.append([]).unwrap();
+        assert_eq!(batched.stats().group_commits, 1);
+    }
+
+    #[test]
+    fn segmented_open_rejects_a_zero_segment_budget() {
+        let dir = scratch_dir("zero-budget");
+        let config = SegmentConfig {
+            segment_bytes: 0,
+            ..SegmentConfig::default()
+        };
+        match SegmentedFileSink::open(&dir, config) {
+            Err(JournalError::Io(message)) => {
+                assert!(message.contains("segment_bytes"), "{message}");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        assert!(Journal::segmented(&dir, config).is_err());
+        assert!(!dir.exists(), "a rejected config touches no disk");
     }
 
     #[test]
@@ -2454,7 +2156,7 @@ mod tests {
         let dir = scratch_dir("rotate");
         let journal = tiny_segments(&dir);
         for _ in 0..3 {
-            journal.append(&JournalEntry::run(record())).unwrap();
+            journal.append([EntryRef::Run(&record())]).unwrap();
         }
         let stats = journal.stats();
         assert!(stats.rotations >= 2, "stats: {stats:?}");
@@ -2473,7 +2175,7 @@ mod tests {
         {
             let journal = tiny_segments(&dir);
             for _ in 0..2 {
-                journal.append(&JournalEntry::run(record())).unwrap();
+                journal.append([EntryRef::Run(&record())]).unwrap();
             }
         }
         // Tear the LAST segment's tail, as a crash mid-append would.
@@ -2492,7 +2194,7 @@ mod tests {
         }
         // Reopening repairs the torn tail and continues the journal.
         let reopened = tiny_segments(&dir);
-        reopened.append(&JournalEntry::run(record())).unwrap();
+        reopened.append([EntryRef::Run(&record())]).unwrap();
         let (entries, tail) = reopened.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean, "reopen repaired the torn tail");
         assert_eq!(entries.len(), 3);
@@ -2505,7 +2207,7 @@ mod tests {
         {
             let journal = tiny_segments(&dir);
             for _ in 0..2 {
-                journal.append(&JournalEntry::run(record())).unwrap();
+                journal.append([EntryRef::Run(&record())]).unwrap();
             }
         }
         let mut segments: Vec<_> = std::fs::read_dir(&dir)
@@ -2533,7 +2235,7 @@ mod tests {
         let dir = scratch_dir("checkpoint");
         let journal = tiny_segments(&dir);
         for _ in 0..3 {
-            journal.append(&JournalEntry::run(record())).unwrap();
+            journal.append([EntryRef::Run(&record())]).unwrap();
         }
         let before = std::fs::read_dir(&dir).unwrap().count();
         assert!(before >= 3);
@@ -2555,7 +2257,7 @@ mod tests {
         assert_eq!(entries[0].label(), "checkpoint", "checkpoint leads");
         assert_eq!(entries.len(), 1, "history was retired");
         // Appends continue after the checkpoint.
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         let (entries, _) = journal.entries().unwrap();
         assert_eq!(entries.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2569,11 +2271,11 @@ mod tests {
             max_bytes: 1024 * 1024,
         });
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         assert_eq!(journal.stats().fsyncs, 0, "below both thresholds");
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         assert_eq!(journal.stats().fsyncs, 1, "entry threshold reached");
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         assert_eq!(journal.stats().fsyncs, 1, "window restarts after a sync");
         std::fs::remove_dir_all(&dir).unwrap();
 
@@ -2583,7 +2285,10 @@ mod tests {
             SegmentConfig::default().with_fsync(FsyncPolicy::EveryAppend),
         )
         .unwrap();
-        journal.append_runs(&[record(), record()]).unwrap();
+        let record = record();
+        journal
+            .append([EntryRef::Run(&record), EntryRef::Run(&record)])
+            .unwrap();
         assert_eq!(journal.stats().fsyncs, 1, "one sync per group commit");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2619,7 +2324,7 @@ mod tests {
     fn chained_lines_carry_prev_links_and_reject_reordering() {
         let journal = Journal::in_memory();
         for _ in 0..3 {
-            journal.append(&JournalEntry::run(record())).unwrap();
+            journal.append([EntryRef::Run(&record())]).unwrap();
         }
         let text = journal.text().unwrap();
         assert_eq!(
@@ -2647,7 +2352,7 @@ mod tests {
         let dir = scratch_dir("seal-roundtrip");
         let config = SegmentConfig::default().with_seal(42);
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         assert!(
             journal.sealed_headers().unwrap().is_empty(),
             "head unsealed"
@@ -2674,13 +2379,13 @@ mod tests {
         let dir = scratch_dir("seal-reopen");
         let config = SegmentConfig::default().with_seal(42);
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         journal.seal().unwrap();
         drop(journal);
 
         // The reopened handle rescans the chain head and keeps linking.
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal.append([EntryRef::Run(&record())]).unwrap();
         journal.seal().unwrap();
         let (entries, tail) = journal.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean);

@@ -75,7 +75,7 @@ pub use ingest::{
 };
 pub use journal::{
     compact, excluded_metric_families, metering_exposition, parse_journal, recovery_window,
-    strip_families, strip_self_accounting, Checkpoint, CheckpointCadence, FileSink, FsyncPolicy,
+    strip_families, strip_self_accounting, Checkpoint, CheckpointCadence, EntryRef, FsyncPolicy,
     InvoicePosting, Journal, JournalEntry, JournalError, JournalSink, JournalStats,
     LedgerVerification, MemorySink, PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig,
     SegmentedFileSink, SinkStats, TailStatus, LIVE_PIPELINE_FAMILIES, SELF_ACCOUNTING_FAMILIES,
@@ -445,6 +445,11 @@ impl FleetService {
     /// batch-path analogue of the streaming release point. A crash
     /// before the commit loses only in-memory state that was never
     /// returned to the caller: never journaled ⇒ never released.
+    ///
+    /// # Panics
+    /// Panics if the journal rejects a posting's group commit: the
+    /// posting already reached the in-memory ledger, and a service whose
+    /// billed state can no longer be made durable must not keep billing.
     pub fn process(&mut self, jobs: &[JobSpec]) -> FleetReport {
         let records = self.fleet.run(jobs);
         let mut verdicts = Vec::with_capacity(records.len());
@@ -461,7 +466,27 @@ impl FleetService {
             }
             if let Some(journal) = &self.journal {
                 let commit_started = self.tracer.as_ref().map(|_| std::time::Instant::now());
-                journal.append_posting_or_die(record, &posting, &verdict);
+                // The journal's one fatal write. The record has already
+                // been posted to the in-memory ledger and the batch API
+                // offers no error channel: a metering service whose billed
+                // state can no longer be made durable must not keep
+                // billing — persisting a half-posted state would be worse
+                // than stopping. Every other write path is fallible: the
+                // *streaming* release path — where the write-ahead
+                // contract lets us hold the records back — commits its
+                // Runs under a retry policy and degrades to quarantine
+                // (see `crate::ingest`), and receipt/checkpoint commits
+                // degrade by counting a failure (receipts are re-derived
+                // on recovery; a skipped checkpoint is retried at the next
+                // safe point).
+                let triple = [
+                    EntryRef::Run(record),
+                    EntryRef::Invoice(&posting),
+                    EntryRef::Verdict(&verdict),
+                ];
+                if let Err(e) = journal.append(triple) {
+                    panic!("journal group commit failed (posting triple): {e}");
+                }
                 if let (Some(tracer), Some(started)) = (&self.tracer, commit_started) {
                     tracer.record_aggregate(
                         Stage::JournalCommit,
@@ -573,7 +598,9 @@ impl FleetService {
                 .journal
                 .as_ref()
                 .expect("receipts collected only with a journal")
-                .append_receipts(&receipts);
+                .append(receipts.iter().flat_map(|(posting, verdict)| {
+                    [EntryRef::Invoice(posting), EntryRef::Verdict(verdict)]
+                }));
             if committed.is_err() {
                 self.metrics
                     .counter_add(JOURNAL_FAILURES_METRIC, JOURNAL_FAILURES_HELP, &[], 1.0);

@@ -179,7 +179,7 @@ fn main() {
 
     // ---- 5. Offline compaction still composes ---------------------------
     // The recovery window (checkpoint + tail) can be folded further with
-    // `compact`, exactly like the single-file journal.
+    // `compact`, exactly like any parsed journal.
     let window = recovery_window(&entries);
     let fold = report.runs_replayed as usize / 2;
     let mut scratch = build_service(None);

@@ -79,7 +79,7 @@ pub mod prelude {
         recovery_window, span_id, strip_families, strip_self_accounting, Anomaly, AttackSpec,
         AuditVerdict, Auditor, AuditorState, BackpressurePolicy, BatchSubmitError, BlockHeader,
         BufferPool, Checkpoint, CheckpointCadence, CounterCell, DisputeError, DisputeResolution,
-        FairQueue, FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, FileSink,
+        EntryRef, FairQueue, FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats,
         Fleet, FleetConfig, FleetHealth, FleetIngest, FleetReport, FleetService, FleetStream,
         FsyncPolicy, InclusionProof, IngestConfig, IngestHandle, IngestOutcome, IngestStats,
         InvoicePosting, JobId, JobSpec, JobVerdict, Journal, JournalEntry, JournalError,

@@ -419,12 +419,12 @@ proptest! {
             match op % 4 {
                 0 => {
                     let spec = JobSpec::clean(1000 + i as u64, TenantId(1), Workload::LoopO, SCALE);
-                    if journal.append_accepted(&spec).is_ok() {
+                    if journal.append([EntryRef::Accepted(&spec)]).is_ok() {
                         expected_lines += 1;
                     }
                 }
                 1 => {
-                    if journal.append_run(&records[i % records.len()]).is_ok() {
+                    if journal.append([EntryRef::Run(&records[i % records.len()])]).is_ok() {
                         expected_lines += 1;
                     }
                 }

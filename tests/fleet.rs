@@ -568,14 +568,10 @@ fn journal_recovery_is_bit_identical_across_1_2_8_workers() {
 
 #[test]
 fn killed_stream_recovers_the_released_prefix() {
-    let path = std::env::temp_dir().join(format!(
-        "trustmeter-fleet-test-kill-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    let dir = segment_dir("kill");
     let jobs = batch(24);
     {
-        let journal = Journal::file(&path).unwrap();
+        let journal = Journal::segmented(&dir, SegmentConfig::default()).unwrap();
         let mut service = service77(2, Some(journal));
         let mut stream = service.stream(IngestConfig::new(2));
         for job in &jobs {
@@ -591,7 +587,7 @@ fn killed_stream_recovers_the_released_prefix() {
         drop(stream);
     }
 
-    let journal = Journal::file(&path).unwrap();
+    let journal = Journal::segmented(&dir, SegmentConfig::default()).unwrap();
     let (entries, tail) = journal.entries().unwrap();
     assert_eq!(tail, TailStatus::Clean, "line appends are atomic");
     let released = count_entries(&entries, "run");
@@ -629,7 +625,7 @@ fn killed_stream_recovers_the_released_prefix() {
         strip_self_accounting(&recovered_torn.metrics_text()),
         strip_self_accounting(&baseline.metrics_text())
     );
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -1165,6 +1161,17 @@ fn journal_fixture() -> &'static JournalFixture {
     })
 }
 
+/// Borrows a journaled entry back for [`Journal::append`] (the fixture
+/// groups hold postings only, never a checkpoint).
+fn borrowed(entry: &JournalEntry) -> EntryRef<'_> {
+    match entry {
+        JournalEntry::Run(record) => EntryRef::Run(record),
+        JournalEntry::Invoice(posting) => EntryRef::Invoice(posting),
+        JournalEntry::Verdict(verdict) => EntryRef::Verdict(verdict),
+        other => panic!("unexpected fixture entry {}", other.label()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1189,7 +1196,7 @@ proptest! {
             match op {
                 0 => {
                     if appended < fixture.groups.len() {
-                        journal.append_batch(&fixture.groups[appended]).unwrap();
+                        journal.append(fixture.groups[appended].iter().map(borrowed)).unwrap();
                         appended += 1;
                     }
                 }
@@ -1218,7 +1225,7 @@ proptest! {
         }
         // Drain the remaining groups and do the final recovery.
         for group in &fixture.groups[appended..] {
-            journal.append_batch(group).unwrap();
+            journal.append(group.iter().map(borrowed)).unwrap();
         }
         let (entries, _) = journal.entries().unwrap();
         let mut recovered = service77(2, None);
